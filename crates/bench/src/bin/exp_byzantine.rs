@@ -3,7 +3,7 @@
 //! Sweeps the malicious fraction ∈ {0, 5%, 15%, 30%} × misbehavior kind
 //! (false claims, forged transfers, seq replay, dropped acks, mutated
 //! tokens) × all three async protocols, each cell one seeded run through
-//! the `dynspread_runtime::byzantine` drivers: wrapped nodes, recorded
+//! `Scenario` with a Byzantine plan: wrapped nodes, recorded
 //! transcripts, post-run audit. Tabulated per cell:
 //!
 //! * **done** — whether the run still reached full dissemination;
@@ -30,14 +30,12 @@
 use dynspread_analysis::table::{fmt_f64, Table};
 use dynspread_bench::{derive_seed, par_map};
 use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
-use dynspread_graph::{Graph, NodeId};
-use dynspread_runtime::byzantine::{
-    run_byzantine_multi_source, run_byzantine_oblivious, run_byzantine_single_source,
-    MisbehaviorKind, MisbehaviorPlan,
-};
+use dynspread_graph::oblivious::PeriodicRewiring;
+use dynspread_graph::NodeId;
+use dynspread_runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
 use std::io::Write as _;
 use std::time::Instant;
@@ -80,86 +78,67 @@ fn run_cell(
     let start = Instant::now();
     let plan = plan_for(fraction, kind, derive_seed(seed, 0xB12));
     let link = || DropLink::new(0.1).with_jitter(1);
-    let (completed, coverage, violations, verdicts, injected) = match protocol {
+    let scenario = |a| {
+        Scenario::from_assignment(a)
+            .link(link())
+            .seed(seed)
+            .byzantine(plan.clone())
+    };
+    let (completed, coverage, report, evidence, injected) = match protocol {
         "async-single-source" => {
-            let a = TokenAssignment::single_source(N, 8, NodeId::new(0));
-            let out = run_byzantine_single_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                150_000,
-            );
-            for e in &out.evidence {
-                assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
-            }
+            let out = scenario(TokenAssignment::single_source(N, 8, NodeId::new(0)))
+                .max_time(150_000)
+                .run_single_source();
             (
                 out.completed,
                 out.honest_coverage,
-                out.report.violations_detected,
-                out.report.evidence_verdicts,
+                out.report,
+                out.evidence,
                 out.injected,
             )
         }
         "async-multi-source" => {
-            let a = TokenAssignment::round_robin_sources(N, 12, 4);
-            let out = run_byzantine_multi_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                150_000,
-            );
-            for e in &out.evidence {
-                assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
-            }
+            let out = scenario(TokenAssignment::round_robin_sources(N, 12, 4))
+                .max_time(150_000)
+                .run_multi_source();
             (
                 out.completed,
                 out.honest_coverage,
-                out.report.violations_detected,
-                out.report.evidence_verdicts,
+                out.report,
+                out.evidence,
                 out.injected,
             )
         }
         "async-oblivious" => {
-            let a = TokenAssignment::n_gossip(N);
             let cfg = AsyncObliviousConfig {
-                seed,
                 source_threshold: Some(1.0),
                 center_probability: Some(0.2),
                 phase1_deadline: 20_000,
                 phase1_max_time: 50_000,
-                phase2_max_time: 300_000,
                 ..AsyncObliviousConfig::default()
             };
-            let out = run_byzantine_oblivious(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xB13)),
-                link(),
-                link(),
-                &cfg,
-                &plan,
-            );
-            for e in &out.evidence {
-                assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
-            }
+            let out = scenario(TokenAssignment::n_gossip(N))
+                .max_time(300_000)
+                .run_oblivious(
+                    PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xB13)),
+                    link(),
+                    &cfg,
+                    None,
+                );
             (
                 out.completed,
                 out.honest_coverage,
-                out.report.violations_detected,
-                out.report.evidence_verdicts,
+                out.report,
+                out.evidence,
                 out.injected,
             )
         }
         other => unreachable!("unknown protocol arm {other}"),
     };
+    for e in &evidence {
+        assert!(plan.is_malicious(e.culprit), "honest node indicted: {e:?}");
+    }
+    let (violations, verdicts) = (report.violations_detected, report.evidence_verdicts);
     if plan.byzantine_nodes() == 0 {
         assert_eq!(violations, 0, "{protocol}: honest run with verdicts");
         assert!(completed, "{protocol}: honest run must complete");

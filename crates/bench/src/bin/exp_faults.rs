@@ -2,8 +2,8 @@
 //! protocol ports.
 //!
 //! Sweeps crash fraction × recovery delay × partition episodes over all
-//! three async protocols, each cell one seeded run through the
-//! `dynspread_runtime::faults` drivers: a pure-data [`FaultPlan`], the
+//! three async protocols, each cell one seeded run through `Scenario`
+//! with a fault plan: a pure-data [`FaultPlan`], the
 //! engine's crash/recovery/partition machinery, and the protocols'
 //! self-healing hooks. Tabulated per cell:
 //!
@@ -29,14 +29,12 @@
 use dynspread_analysis::table::{fmt_f64, Table};
 use dynspread_bench::{derive_seed, par_map};
 use dynspread_graph::generators::Topology;
-use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
-use dynspread_graph::{Graph, NodeId};
-use dynspread_runtime::faults::{
-    run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source, FaultPlan,
-    RecoveryMode,
-};
+use dynspread_graph::oblivious::PeriodicRewiring;
+use dynspread_graph::NodeId;
+use dynspread_runtime::faults::{FaultPlan, RecoveryMode};
 use dynspread_runtime::link::{DropLink, LinkModelExt};
-use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+use dynspread_runtime::protocol::AsyncObliviousConfig;
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::token::TokenAssignment;
 use std::io::Write as _;
 use std::time::Instant;
@@ -114,80 +112,46 @@ fn run_cell(protocol: &'static str, crash_pct: u32, recovery_delay: u64, episode
     );
     let link = || DropLink::new(0.1).with_jitter(1);
     let start = Instant::now();
-    let (completed, coverage, crashes, recoveries, partitions) = match protocol {
+    let scenario = |a| Scenario::from_assignment(a).link(link()).seed(seed);
+    let (completed, coverage, report) = match protocol {
         "async-single-source" => {
-            let a = TokenAssignment::single_source(N, 8, NodeId::new(0));
-            let out = run_faulty_single_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                500_000,
-            );
-            (
-                out.completed,
-                out.live_coverage,
-                out.report.crashes,
-                out.report.recoveries,
-                out.report.partition_episodes,
-            )
+            let out = scenario(TokenAssignment::single_source(N, 8, NodeId::new(0)))
+                .faults(plan)
+                .max_time(500_000)
+                .run_single_source();
+            (out.completed, out.live_coverage, out.report)
         }
         "async-multi-source" => {
-            let a = TokenAssignment::round_robin_sources(N, 12, 4);
-            let out = run_faulty_multi_source(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                link(),
-                2,
-                seed,
-                AsyncConfig::default(),
-                &plan,
-                500_000,
-            );
-            (
-                out.completed,
-                out.live_coverage,
-                out.report.crashes,
-                out.report.recoveries,
-                out.report.partition_episodes,
-            )
+            let out = scenario(TokenAssignment::round_robin_sources(N, 12, 4))
+                .faults(plan)
+                .max_time(500_000)
+                .run_multi_source();
+            (out.completed, out.live_coverage, out.report)
         }
         "async-oblivious" => {
-            let a = TokenAssignment::n_gossip(N);
             let cfg = AsyncObliviousConfig {
-                seed,
                 source_threshold: Some(1.0),
                 center_probability: Some(0.2),
                 phase1_deadline: 20_000,
                 phase1_max_time: 50_000,
-                phase2_max_time: 500_000,
                 ..AsyncObliviousConfig::default()
             };
             // The walk phase runs fault-free; the plan hits the spread
             // phase, where recovery resyncs pull the rejoiners back up.
-            let out = run_faulty_oblivious(
-                &a,
-                StaticAdversary::new(Graph::complete(N)),
-                PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xF18)),
-                link(),
-                link(),
-                &cfg,
-                &FaultPlan::none(N),
-                &plan,
-            );
-            (
-                out.completed,
-                out.live_coverage,
-                out.report.crashes,
-                out.report.recoveries,
-                out.report.partition_episodes,
-            )
+            let out = scenario(TokenAssignment::n_gossip(N))
+                .max_time(500_000)
+                .run_oblivious(
+                    PeriodicRewiring::new(Topology::RandomTree, 3, derive_seed(seed, 0xF18)),
+                    link(),
+                    &cfg,
+                    Some(&plan),
+                );
+            (out.completed, out.live_coverage, out.report)
         }
         other => unreachable!("unknown protocol arm {other}"),
     };
+    let (crashes, recoveries, partitions) =
+        (report.crashes, report.recoveries, report.partition_episodes);
     assert!(
         completed,
         "{protocol} at {crash_pct}%/{recovery_delay}/{episodes}ep did not self-heal"

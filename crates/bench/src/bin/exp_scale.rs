@@ -16,7 +16,7 @@
 //! * **async-single-source** — the `AsyncSingleSource` event port under
 //!   `EventSim` with a latency-1 perfect link (the event engine's
 //!   calendar queue and zero-clone fan-out are on this path);
-//! * **async-oblivious** — the full two-phase `run_async_oblivious`
+//! * **async-oblivious** — the full two-phase `Scenario::run_oblivious`
 //!   pipeline (random-walk center reduction, then `AsyncMultiSource`)
 //!   with `k = 16` tokens, ~4 expected centers, and a denser
 //!   `SparseConnected(8)` phase-1 topology so center hand-offs happen at
@@ -46,9 +46,8 @@ use dynspread_graph::oblivious::PeriodicRewiring;
 use dynspread_graph::NodeId;
 use dynspread_runtime::engine::EventSim;
 use dynspread_runtime::link::{LinkModelExt, PerfectLink};
-use dynspread_runtime::protocol::{
-    run_async_oblivious, AsyncConfig, AsyncObliviousConfig, AsyncSingleSource,
-};
+use dynspread_runtime::protocol::{AsyncConfig, AsyncObliviousConfig, AsyncSingleSource};
+use dynspread_runtime::scenario::Scenario;
 use dynspread_sim::sim::SimConfig;
 use dynspread_sim::token::TokenAssignment;
 use std::io::Write as _;
@@ -120,26 +119,28 @@ fn run_cell(protocol: &'static str, n: usize, k: usize, seed: u64) -> Cell {
             // (γ = 1) so tokens hand off to discovered centers. The
             // deadline fallback (stranded owners become phase-2 sources)
             // bounds phase 1 even if some walks don't converge.
-            let a = TokenAssignment::round_robin_sources(n, k, k);
             let cfg = AsyncObliviousConfig {
-                seed: derive_seed(seed, 0x0B1),
                 source_threshold: Some(1.0),
                 center_probability: Some(4.0 / n as f64),
                 degree_threshold: Some(1.0),
-                ticks_per_round: 2,
                 phase1_deadline: 2_048,
                 phase1_max_time: 4_096,
-                phase2_max_time: 8 * max_rounds,
-                ..AsyncObliviousConfig::default()
             };
-            let out = run_async_oblivious(
-                &a,
-                PeriodicRewiring::new(Topology::SparseConnected(8.0), 3, seed),
-                default_adversary(derive_seed(seed, 0x0B2)),
-                PerfectLink.with_latency(1),
-                PerfectLink.with_latency(1),
-                &cfg,
-            );
+            let out = Scenario::from_assignment(TokenAssignment::round_robin_sources(n, k, k))
+                .topology(PeriodicRewiring::new(
+                    Topology::SparseConnected(8.0),
+                    3,
+                    seed,
+                ))
+                .link(PerfectLink.with_latency(1))
+                .seed(derive_seed(seed, 0x0B1))
+                .max_time(8 * max_rounds)
+                .run_oblivious(
+                    default_adversary(derive_seed(seed, 0x0B2)),
+                    PerfectLink.with_latency(1),
+                    &cfg,
+                    None,
+                );
             (out.completed, out.total_epochs(), out.total_events())
         }
         "async-single-source" => {

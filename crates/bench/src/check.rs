@@ -270,189 +270,111 @@ impl fmt::Display for Delta {
     }
 }
 
-/// Pairs up the scale-grid cells of two `BENCH_runtime.json` documents by
-/// `(protocol, n)` and returns the `ns_per_round`/`ns_per_event` deltas
-/// for every cell present in both (a fresh `--smoke` run matches only its
-/// `n = 1024` column against the committed full grid).
-///
-/// Cells whose *baseline* wall time is below `min_wall_ms` are skipped:
-/// a single sub-50 ms run jitters far past any reasonable tolerance on a
-/// shared CI runner, so tiny cells would make the gate cry wolf. Pass
-/// `0.0` to gate everything.
-pub fn runtime_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(String, u64)> {
-        Some((
-            c.get("protocol")?.as_str()?.to_string(),
-            c.get("n")?.as_f64()? as u64,
-        ))
-    };
-    let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells
-            .iter()
-            .find(|bc| cell_key(bc) == Some(key.clone()))
-        else {
-            continue;
-        };
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue; // too small to measure reliably in one run
-        }
-        for metric in ["ns_per_round", "ns_per_event"] {
-            if let (Some(b), Some(f)) = (
-                bc.get(metric).and_then(Json::as_f64),
-                fc.get(metric).and_then(Json::as_f64),
-            ) {
-                deltas.push(Delta {
-                    key: format!("{}/{} {metric}", key.0, key.1),
-                    baseline: b,
-                    fresh: f,
-                });
-            }
-        }
-    }
-    deltas
+/// How the cells of one keyed bench family are matched and compared.
+#[derive(Clone, Copy, Debug)]
+pub struct CellSpec {
+    /// The fields identifying a cell; a fresh cell is compared against
+    /// the first baseline cell with equal values in all of them.
+    pub key: &'static [&'static str],
+    /// The label of a matched cell: each `{}` takes the next key value
+    /// (numbers as integers). Every delta key is `"{label} {metric}"`.
+    pub label: &'static str,
+    /// Metrics compared only when the baseline cell's `wall_ms` reaches
+    /// the wall floor (a missing `wall_ms` always reaches it).
+    pub floored: &'static [&'static str],
+    /// Metrics compared on every matched cell: seed-pure values, where
+    /// any drift is a behavior change rather than runner noise.
+    pub unfloored: &'static [&'static str],
 }
 
-/// Pairs up the Byzantine-grid cells of two `BENCH_byzantine.json`
-/// documents by `(protocol, fraction_pct, kind)` and returns the
-/// `wall_ms` deltas for every cell present in both, with the same
-/// baseline wall floor as [`runtime_deltas`].
-///
-/// The Byzantine grid is observational for now — there is no committed
-/// baseline, so `bench_check` treats the baseline file as optional and
-/// skips the comparison when it is absent. Once a baseline lands, the
-/// wall floor keeps the sub-floor cells (most of the grid at `n = 24`)
-/// ungated.
-pub fn byzantine_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(String, u64, String)> {
-        Some((
-            c.get("protocol")?.as_str()?.to_string(),
-            c.get("fraction_pct")?.as_f64()? as u64,
-            c.get("kind")?.as_str()?.to_string(),
-        ))
-    };
-    let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells
-            .iter()
-            .find(|bc| cell_key(bc) == Some(key.clone()))
-        else {
-            continue;
-        };
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue;
-        }
-        if let (Some(b), Some(f)) = (
-            bc.get("wall_ms").and_then(Json::as_f64),
-            fc.get("wall_ms").and_then(Json::as_f64),
-        ) {
-            deltas.push(Delta {
-                key: format!("byz {}/{}%/{} wall_ms", key.0, key.1, key.2),
-                baseline: b,
-                fresh: f,
-            });
-        }
-    }
-    deltas
-}
+/// The scale grid (`BENCH_runtime.json`), matched on `(protocol, n)`.
+pub const RUNTIME: CellSpec = CellSpec {
+    key: &["protocol", "n"],
+    label: "{}/{}",
+    floored: &["ns_per_round", "ns_per_event"],
+    unfloored: &[],
+};
 
-/// Pairs up the fault-grid cells of two `BENCH_faults.json` documents by
-/// `(protocol, crash_pct, episodes)` and returns the `wall_ms` deltas
-/// for every cell present in both, with the same baseline wall floor as
-/// [`runtime_deltas`]. The recovery delay is not part of the key: the
-/// swept grid never reuses a `(crash %, episodes)` pair with two
-/// delays, so the shorter key keeps a future delay re-tune from
+/// The Byzantine grid (`BENCH_byzantine.json`), matched on
+/// `(protocol, fraction_pct, kind)`.
+pub const BYZANTINE: CellSpec = CellSpec {
+    key: &["protocol", "fraction_pct", "kind"],
+    label: "byz {}/{}%/{}",
+    floored: &["wall_ms"],
+    unfloored: &[],
+};
+
+/// The fault grid (`BENCH_faults.json`), matched on
+/// `(protocol, crash_pct, episodes)`. The recovery delay is not part of
+/// the key: the swept grid never reuses a `(crash %, episodes)` pair
+/// with two delays, so the shorter key keeps a future delay re-tune from
 /// silently orphaning every baseline cell.
-pub fn faults_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(String, u64, u64)> {
-        Some((
-            c.get("protocol")?.as_str()?.to_string(),
-            c.get("crash_pct")?.as_f64()? as u64,
-            c.get("episodes")?.as_f64()? as u64,
-        ))
+pub const FAULTS: CellSpec = CellSpec {
+    key: &["protocol", "crash_pct", "episodes"],
+    label: "faults {}/{}%/{}ep",
+    floored: &["wall_ms"],
+    unfloored: &[],
+};
+
+/// The session grid (`BENCH_sessions.json`), matched on
+/// `(sessions, k, spacing)`. Its latency percentile and envelope load
+/// are pure functions of the seeds, so they are gated with no wall
+/// floor: on a healthy change they move by exactly 0%.
+pub const SESSIONS: CellSpec = CellSpec {
+    key: &["sessions", "k", "spacing"],
+    label: "sessions {}x{}/{}",
+    floored: &["wall_ms"],
+    unfloored: &["p95_latency", "messages"],
+};
+
+/// Pairs up the `cells` of two documents of one family per `spec` and
+/// returns the deltas of every fresh cell with a baseline match (a fresh
+/// `--smoke` run matches only its subset of the committed full grid;
+/// unmatched cells on either side are ignored).
+///
+/// The `floored` metrics of a cell are skipped when its *baseline* wall
+/// time is below `min_wall_ms`: a single sub-50 ms run jitters far past
+/// any reasonable tolerance on a shared CI runner, so tiny cells would
+/// make the gate cry wolf. Pass `0.0` to gate everything.
+pub fn keyed_deltas(
+    spec: &CellSpec,
+    baseline: &Json,
+    fresh: &Json,
+    min_wall_ms: f64,
+) -> Vec<Delta> {
+    fn cells(doc: &Json) -> &[Json] {
+        doc.get("cells").and_then(Json::as_array).unwrap_or(&[])
+    }
+    let cell_key = |c: &Json| -> Option<Vec<String>> {
+        spec.key
+            .iter()
+            .map(|field| match c.get(field)? {
+                Json::Str(s) => Some(s.clone()),
+                Json::Num(x) => Some((*x as u64).to_string()),
+                _ => None,
+            })
+            .collect()
     };
+    let base_cells = cells(baseline);
     let mut deltas = Vec::new();
-    for fc in fresh_cells {
+    for fc in cells(fresh) {
         let Some(key) = cell_key(fc) else { continue };
         let Some(bc) = base_cells
             .iter()
-            .find(|bc| cell_key(bc) == Some(key.clone()))
+            .find(|bc| cell_key(bc).as_ref() == Some(&key))
         else {
             continue;
         };
+        let label = key
+            .iter()
+            .fold(spec.label.to_string(), |l, part| l.replacen("{}", part, 1));
         let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue;
-        }
-        if let (Some(b), Some(f)) = (
-            bc.get("wall_ms").and_then(Json::as_f64),
-            fc.get("wall_ms").and_then(Json::as_f64),
-        ) {
-            deltas.push(Delta {
-                key: format!("faults {}/{}%/{}ep wall_ms", key.0, key.1, key.2),
-                baseline: b,
-                fresh: f,
-            });
-        }
-    }
-    deltas
-}
-
-/// Pairs up the session-grid cells of two `BENCH_sessions.json`
-/// documents by `(sessions, k, spacing)`.
-///
-/// Unlike the other grids, most of what `exp_sessions` measures is
-/// *virtual*: per-session latency percentiles and the aggregate
-/// envelope load are pure functions of the seeds, identical on every
-/// replay of an unchanged service layer. Those deltas (`p95_latency`,
-/// `messages`) are therefore gated with **no wall floor** — on a
-/// healthy PR they are exactly 0%, and any drift is a behavioral change
-/// in the mux or the protocols, not runner noise. The `wall_ms` delta
-/// keeps the usual baseline floor from [`runtime_deltas`].
-pub fn sessions_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
-    let empty: &[Json] = &[];
-    let base_cells = baseline
-        .get("cells")
-        .and_then(Json::as_array)
-        .unwrap_or(empty);
-    let fresh_cells = fresh.get("cells").and_then(Json::as_array).unwrap_or(empty);
-    let cell_key = |c: &Json| -> Option<(u64, u64, u64)> {
-        Some((
-            c.get("sessions")?.as_f64()? as u64,
-            c.get("k")?.as_f64()? as u64,
-            c.get("spacing")?.as_f64()? as u64,
-        ))
-    };
-    let mut deltas = Vec::new();
-    for fc in fresh_cells {
-        let Some(key) = cell_key(fc) else { continue };
-        let Some(bc) = base_cells.iter().find(|bc| cell_key(bc) == Some(key)) else {
-            continue;
+        let floored: &[&str] = if base_wall < min_wall_ms {
+            &[]
+        } else {
+            spec.floored
         };
-        let label = format!("sessions {}x{}/{}", key.0, key.1, key.2);
-        for metric in ["p95_latency", "messages"] {
+        for metric in spec.unfloored.iter().chain(floored) {
             if let (Some(b), Some(f)) = (
                 bc.get(metric).and_then(Json::as_f64),
                 fc.get(metric).and_then(Json::as_f64),
@@ -464,22 +386,28 @@ pub fn sessions_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<D
                 });
             }
         }
-        let base_wall = bc.get("wall_ms").and_then(Json::as_f64).unwrap_or(f64::MAX);
-        if base_wall < min_wall_ms {
-            continue;
-        }
-        if let (Some(b), Some(f)) = (
-            bc.get("wall_ms").and_then(Json::as_f64),
-            fc.get("wall_ms").and_then(Json::as_f64),
-        ) {
-            deltas.push(Delta {
-                key: format!("{label} wall_ms"),
-                baseline: b,
-                fresh: f,
-            });
-        }
     }
     deltas
+}
+
+/// [`keyed_deltas`] over the scale grid ([`RUNTIME`]).
+pub fn runtime_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
+    keyed_deltas(&RUNTIME, baseline, fresh, min_wall_ms)
+}
+
+/// [`keyed_deltas`] over the Byzantine grid ([`BYZANTINE`]).
+pub fn byzantine_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
+    keyed_deltas(&BYZANTINE, baseline, fresh, min_wall_ms)
+}
+
+/// [`keyed_deltas`] over the fault grid ([`FAULTS`]).
+pub fn faults_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
+    keyed_deltas(&FAULTS, baseline, fresh, min_wall_ms)
+}
+
+/// [`keyed_deltas`] over the session grid ([`SESSIONS`]).
+pub fn sessions_deltas(baseline: &Json, fresh: &Json, min_wall_ms: f64) -> Vec<Delta> {
+    keyed_deltas(&SESSIONS, baseline, fresh, min_wall_ms)
 }
 
 /// The `BENCH_core.json` metrics the gate compares: the live data plane's

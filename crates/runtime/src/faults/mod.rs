@@ -20,16 +20,11 @@
 //!    [`EventProtocol::on_heal`](crate::engine::EventProtocol::on_heal)
 //!    to every live node. All of it is replay-identical from the seeds,
 //!    and an empty plan is *byte-identical* to running with no plan.
-//! 3. **Drivers** ([`run`]): `run_faulty_*` harnesses that inject a plan
-//!    into each async port, report degradation as live-node coverage, and
-//!    stamp crash/recovery/partition counters into the
-//!    [`RunReport`](dynspread_sim::RunReport).
+//! 3. **Runs** ([`Scenario::faults`](crate::scenario::Scenario::faults)):
+//!    the builder injects a plan into any async port, reports degradation
+//!    as live-node coverage, and stamps crash/recovery/partition counters
+//!    into the [`RunReport`](dynspread_sim::RunReport).
 
 pub mod plan;
-pub mod run;
 
 pub use plan::{FaultPlan, NodeFault, PartitionEpisode, PartitionLink, RecoveryMode};
-pub use run::{
-    coverage_over, run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source,
-    FaultyObliviousOutcome, FaultyOutcome,
-};

@@ -52,10 +52,7 @@ mod oblivious;
 mod single_source;
 
 pub use multi_source::{AsyncMsMsg, AsyncMultiSource};
-pub use oblivious::{
-    run_async_oblivious, run_async_oblivious_traced, AsyncOblMsg, AsyncOblivious,
-    AsyncObliviousConfig, AsyncObliviousOutcome,
-};
+pub use oblivious::{AsyncOblMsg, AsyncOblivious, AsyncObliviousConfig};
 pub use single_source::{AsyncSingleSource, AsyncSsMsg};
 
 use crate::event::VirtualTime;

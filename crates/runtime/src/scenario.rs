@@ -1,12 +1,9 @@
-//! The unified `Scenario` front door: one builder for every async run.
+//! The `Scenario` front door: one builder for every async run.
 //!
-//! Historically each axis of the runtime grew its own driver —
-//! `run_async_*` for honest runs, `run_faulty_*` for crash/partition
-//! plans, `run_byzantine_*` for misbehavior injection — and the axes
-//! could not be combined: nothing could run a crash-recovery plan *and*
-//! a Byzantine plan *and* a deterministic trace in one execution. The
-//! [`Scenario`] builder replaces that driver zoo with a single
-//! composition point:
+//! Every run of the asynchronous ports goes through [`Scenario`], and
+//! every axis composes with every other: a crash-recovery plan, a
+//! Byzantine plan and a deterministic trace can all ride on one
+//! execution.
 //!
 //! ```
 //! use dynspread_graph::{generators::Topology, oblivious::PeriodicRewiring};
@@ -43,16 +40,15 @@
 //!   Byzantine plan is present (recording is observation-only either
 //!   way).
 //!
-//! The legacy `run_faulty_*` / `run_byzantine_*` / `run_async_oblivious*`
-//! drivers are now thin wrappers over this builder and remain
-//! byte-identical to their historical outputs per seed (asserted by
-//! `tests/legacy_identity.rs`).
+//! Degradation is reported as **coverage**: the mean fraction of the
+//! token universe known at the end of the run, over the nodes still up
+//! (`live_coverage`: a crash-stopped node can never learn anything, so it
+//! is excluded) or over the honest nodes (`honest_coverage`).
 
-use crate::byzantine::run::stamp_report;
 use crate::byzantine::{check_evidence, AuditMsg, AuditSetup, Evidence, MisbehaviorPlan, Tamper};
 use crate::engine::{EventReport, EventSim, StopReason};
 use crate::event::VirtualTime;
-use crate::faults::{coverage_over, FaultPlan, PartitionLink};
+use crate::faults::{FaultPlan, PartitionLink};
 use crate::link::{LinkModel, PerfectLink};
 use crate::protocol::{
     AsyncConfig, AsyncMultiSource, AsyncOblivious, AsyncObliviousConfig, AsyncSingleSource,
@@ -64,21 +60,52 @@ use dynspread_core::multi_source::SourceMap;
 use dynspread_core::oblivious::{center_count, degree_threshold, source_threshold};
 use dynspread_core::walk::elect_centers;
 use dynspread_graph::adversary::Adversary;
-use dynspread_graph::oblivious::StaticAdversary;
-use dynspread_graph::{Graph, NodeId};
+use dynspread_graph::dynamic::GraphUpdate;
+use dynspread_graph::{Graph, NodeId, Round};
 use dynspread_sim::token::{TokenAssignment, TokenId, TokenSet};
 use dynspread_sim::RunReport;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::engine::EventProtocol;
 
+/// The default topology of a [`Scenario`]: the static complete graph over
+/// the run's nodes.
+///
+/// It holds no graph: the complete graph is built when a run asks for
+/// round 1, so a scenario whose topology is replaced through
+/// [`Scenario::topology`] never builds one. Reports name it `"static"`,
+/// exactly like the
+/// [`StaticAdversary`](dynspread_graph::oblivious::StaticAdversary) over
+/// the same graph, whose rounds it reproduces.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CompleteTopology;
+
+impl Adversary for CompleteTopology {
+    fn graph_for_round(&mut self, _round: Round, prev: &Graph) -> Graph {
+        Graph::complete(prev.node_count())
+    }
+
+    fn evolve(&mut self, round: Round, prev: &Graph) -> GraphUpdate {
+        if round == 1 {
+            GraphUpdate::Full(Graph::complete(prev.node_count()))
+        } else {
+            GraphUpdate::Unchanged
+        }
+    }
+
+    fn name(&self) -> &str {
+        "static"
+    }
+}
+
 /// Builder for one fully-configured asynchronous execution.
 ///
 /// See the [module docs](self) for the composition rules. The adversary
-/// and link default to a static complete graph over perfect links; every
-/// other knob has the drivers' historical default.
+/// and link default to a static complete graph ([`CompleteTopology`])
+/// over perfect links.
 #[derive(Clone, Debug)]
-pub struct Scenario<A = StaticAdversary, L = PerfectLink> {
+pub struct Scenario<A = CompleteTopology, L = PerfectLink> {
     assignment: TokenAssignment,
     adversary: A,
     link: L,
@@ -103,10 +130,9 @@ impl Scenario {
 
     /// A scenario over an explicit token placement.
     pub fn from_assignment(assignment: TokenAssignment) -> Self {
-        let n = assignment.node_count();
         Scenario {
             assignment,
-            adversary: StaticAdversary::new(Graph::complete(n)),
+            adversary: CompleteTopology,
             link: PerfectLink,
             ticks_per_round: 2,
             seed: 0,
@@ -182,7 +208,8 @@ impl<A, L> Scenario<A, L> {
         self
     }
 
-    /// Engine seed (links, scheduling; default 0).
+    /// Seed of the run (default 0): the engine's links and scheduling
+    /// and, in [`Scenario::run_oblivious`], center election and the walk.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -195,7 +222,8 @@ impl<A, L> Scenario<A, L> {
         self
     }
 
-    /// Hard cap on virtual time (default 2 000 000).
+    /// Hard cap on virtual time (default 2 000 000); in
+    /// [`Scenario::run_oblivious`] it caps phase 2.
     pub fn max_time(mut self, max_time: VirtualTime) -> Self {
         self.max_time = max_time;
         self
@@ -263,8 +291,7 @@ impl<A, L> Scenario<A, L> {
 
 /// Outcome of a single-phase [`Scenario`] run.
 ///
-/// Superset of the legacy `FaultyOutcome` / `ByzantineOutcome`: every
-/// field is always computed, with the unused axes' fields at their
+/// Every field is always computed, with the unused axes' fields at their
 /// neutral values (empty evidence, coverage 1.0, zero injections).
 #[derive(Clone, Debug)]
 pub struct ScenarioOutcome {
@@ -288,9 +315,6 @@ pub struct ScenarioOutcome {
 }
 
 /// Outcome of a two-phase oblivious [`Scenario`] run.
-///
-/// Superset of the legacy `AsyncObliviousOutcome` /
-/// `FaultyObliviousOutcome` / `ByzantineObliviousOutcome`.
 #[derive(Clone, Debug)]
 pub struct ScenarioObliviousOutcome {
     /// Phase-1 report (absent on the few-sources fast path).
@@ -326,6 +350,23 @@ pub struct ScenarioObliviousOutcome {
     pub injected: u64,
     /// Whether phase 2 reached full dissemination.
     pub completed: bool,
+}
+
+impl ScenarioObliviousOutcome {
+    /// Total link-layer transmissions across both phases.
+    pub fn total_transmissions(&self) -> u64 {
+        self.phase2.transmissions + self.phase1.as_ref().map_or(0, |r| r.transmissions)
+    }
+
+    /// Total engine events across both phases.
+    pub fn total_events(&self) -> u64 {
+        self.phase2.events + self.phase1.as_ref().map_or(0, |r| r.events)
+    }
+
+    /// Total topology epochs across both phases.
+    pub fn total_epochs(&self) -> u64 {
+        self.phase2.epochs + self.phase1.as_ref().map_or(0, |r| r.epochs)
+    }
 }
 
 /// Per-session result of a [`Scenario::run_sessions`] execution.
@@ -512,10 +553,14 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
     /// Runs the full two-phase oblivious pipeline under every configured
     /// axis. The scenario's adversary/link/faults drive phase 1;
     /// `adversary2`/`link2`/`faults2` drive phase 2; `cfg` supplies the
-    /// pipeline's seeds and timing (the scenario's own
-    /// `seed`/`ticks_per_round`/`retransmit`/`max_time` are not used, for
-    /// exact compatibility with the historical drivers). A Byzantine
-    /// plan applies to both phases, with both transcripts audited.
+    /// knobs only Algorithm 2 has. The scenario's seed drives center
+    /// election, the walk and (xored with fixed per-phase salts) both
+    /// engines; its ticks per round and retransmission tuning apply to
+    /// both phases, and its `max_time` caps phase 2. A Byzantine plan
+    /// applies to both phases, with both transcripts audited; a tracer
+    /// receives both phases' records, stitched by `phase` boundary
+    /// records (`p:1` for the walk, `p:2` for the spread; the few-sources
+    /// fast path emits only `p:2`).
     ///
     /// The hand-off resolves each token's claimants by preferring live
     /// over down, then center over walker, then the lowest ID; a token
@@ -523,6 +568,37 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
     /// from its original holder (`stolen_recovered`), and one whose
     /// resolved claimant is down at the hand-off is re-homed to a live
     /// knower, preferring a center (`crash_reclaimed`).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dynspread_graph::{generators::Topology, oblivious::PeriodicRewiring};
+    /// use dynspread_runtime::link::{DropLink, LinkModelExt};
+    /// use dynspread_runtime::protocol::AsyncObliviousConfig;
+    /// use dynspread_runtime::scenario::Scenario;
+    /// use dynspread_sim::token::TokenAssignment;
+    ///
+    /// // Every node a source, over links the round-based pipeline cannot
+    /// // run on at all: 30% drop plus jitter.
+    /// let cfg = AsyncObliviousConfig {
+    ///     source_threshold: Some(1.0), // force the two-phase path at this scale
+    ///     center_probability: Some(0.25),
+    ///     ..AsyncObliviousConfig::default()
+    /// };
+    /// let out = Scenario::from_assignment(TokenAssignment::n_gossip(12))
+    ///     .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1))
+    ///     .link(DropLink::new(0.3).with_jitter(2))
+    ///     .seed(7)
+    ///     .run_oblivious(
+    ///         PeriodicRewiring::new(Topology::RandomTree, 3, 2),
+    ///         DropLink::new(0.3).with_jitter(2),
+    ///         &cfg,
+    ///         None,
+    ///     );
+    /// assert!(out.completed);
+    /// assert!(!out.centers.is_empty());
+    /// assert!(out.final_knowledge.iter().all(|k| k.is_full()));
+    /// ```
     ///
     /// # Panics
     ///
@@ -543,10 +619,10 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
             assignment,
             adversary,
             link,
-            ticks_per_round: _,
-            seed: _,
-            retransmit: _,
-            max_time: _,
+            ticks_per_round,
+            seed,
+            retransmit,
+            max_time,
             faults,
             byzantine,
             tracer,
@@ -590,10 +666,10 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
                 assignment,
                 adversary: adversary2,
                 link: link2,
-                ticks_per_round: cfg.ticks_per_round,
-                seed: cfg.seed ^ 0x5EED_0B71_0002u64,
-                retransmit: cfg.retransmit,
-                max_time: cfg.phase2_max_time,
+                ticks_per_round,
+                seed: seed ^ PHASE2_SALT,
+                retransmit,
+                max_time,
                 faults: faults2.cloned(),
                 byzantine,
                 tracer,
@@ -634,22 +710,22 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
             .unwrap_or_else(|| MisbehaviorPlan::honest(n));
         // The same election the walk nodes run internally, so
         // `is_center[v]` matches `node(v).is_center()` exactly.
-        let is_center = elect_centers(n, p_center, cfg.seed);
+        let is_center = elect_centers(n, p_center, seed);
         let centers: Vec<NodeId> = NodeId::all(n).filter(|v| is_center[v.index()]).collect();
         let nodes = bplan.wrap(AsyncOblivious::nodes(
             &assignment,
             p_center,
             gamma,
-            cfg.seed,
-            cfg.retransmit,
+            seed,
+            retransmit,
             cfg.phase1_deadline,
         ));
         let mut sim1 = EventSim::new(
             nodes,
             adversary,
             PartitionLink::new(link, Arc::new(fplan1.clone())),
-            cfg.ticks_per_round,
-            cfg.seed ^ 0x5EED_0B71_0001u64,
+            ticks_per_round,
+            seed ^ PHASE1_SALT,
         );
         sim1.set_fault_plan(fplan1);
         if byzantine.is_some() {
@@ -753,15 +829,15 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
         let fplan2 = faults2.cloned().unwrap_or_else(|| FaultPlan::none(n));
         let nodes2 = bplan.wrap(
             NodeId::all(n)
-                .map(|v| AsyncMultiSource::new(v, &knowledge, Arc::clone(&map), cfg.retransmit))
+                .map(|v| AsyncMultiSource::new(v, &knowledge, Arc::clone(&map), retransmit))
                 .collect(),
         );
         let mut sim2 = EventSim::with_tracking(
             nodes2,
             adversary2,
             PartitionLink::new(link2, Arc::new(fplan2.clone())),
-            cfg.ticks_per_round,
-            cfg.seed ^ 0x5EED_0B71_0002u64,
+            ticks_per_round,
+            seed ^ PHASE2_SALT,
             &knowledge,
         );
         sim2.set_fault_plan(fplan2);
@@ -772,7 +848,7 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
             tr.append(&TraceRecord::Phase { p: 2 });
             sim2.set_tracer(tr.clone());
         }
-        let phase2 = sim2.run(cfg.phase2_max_time);
+        let phase2 = sim2.run(max_time);
 
         if byzantine.is_some() {
             let setup2 = AuditSetup::multi_source(&knowledge, &map);
@@ -905,6 +981,51 @@ impl<A: Adversary, L: LinkModel> Scenario<A, L> {
     }
 }
 
+/// Salt xored into the scenario seed for the oblivious walk-phase engine.
+const PHASE1_SALT: u64 = 0x5EED_0B71_0001;
+/// Salt xored into the scenario seed for the oblivious spread-phase
+/// engine.
+const PHASE2_SALT: u64 = 0x5EED_0B71_0002;
+
+/// Mean coverage of the `k`-token universe over the nodes selected by
+/// `include` (their index order matching the knowledge iterator); `1.0`
+/// when no node is selected.
+fn coverage_over<'a>(
+    k: usize,
+    knowledge: impl Iterator<Item = &'a TokenSet>,
+    mut include: impl FnMut(NodeId) -> bool,
+) -> f64 {
+    let mut sum = 0.0;
+    let mut picked = 0usize;
+    for (i, know) in knowledge.enumerate() {
+        if include(NodeId::new(i as u32)) {
+            sum += know.count() as f64 / k.max(1) as f64;
+            picked += 1;
+        }
+    }
+    if picked == 0 {
+        1.0
+    } else {
+        sum / picked as f64
+    }
+}
+
+/// Counts distinct indicted nodes.
+fn verdict_count(evidence: &[Evidence]) -> u64 {
+    evidence
+        .iter()
+        .map(|e| e.culprit)
+        .collect::<BTreeSet<_>>()
+        .len() as u64
+}
+
+/// Fills the Byzantine counters of a [`RunReport`].
+fn stamp_report(report: &mut RunReport, plan: &MisbehaviorPlan, evidence: &[Evidence]) {
+    report.byzantine_nodes = plan.byzantine_nodes();
+    report.violations_detected = evidence.len() as u64;
+    report.evidence_verdicts = verdict_count(evidence);
+}
+
 /// Synthesizes the per-session [`RunReport`] views from the shared
 /// scoreboard: session-scoped message/completion/learning fields, with
 /// the engine-wide context (topology meter, fault counters) carried from
@@ -962,10 +1083,38 @@ where
 mod tests {
     use super::*;
     use crate::byzantine::MisbehaviorKind;
-    use crate::faults::RecoveryMode;
+    use crate::faults::{NodeFault, RecoveryMode};
     use crate::link::{DropLink, LinkModelExt};
     use dynspread_graph::generators::Topology;
-    use dynspread_graph::oblivious::PeriodicRewiring;
+    use dynspread_graph::oblivious::{PeriodicRewiring, StaticAdversary};
+
+    #[test]
+    fn coverage_over_excludes_and_degenerates() {
+        let mut full = TokenSet::new(4);
+        for i in 0..4 {
+            full.insert(TokenId::new(i));
+        }
+        let empty = TokenSet::new(4);
+        let sets = [full, empty];
+        let all = coverage_over(4, sets.iter(), |_| true);
+        assert!((all - 0.5).abs() < 1e-12);
+        let first = coverage_over(4, sets.iter(), |v| v.index() == 0);
+        assert!((first - 1.0).abs() < 1e-12);
+        assert_eq!(coverage_over(4, sets.iter(), |_| false), 1.0);
+    }
+
+    #[test]
+    fn default_topology_is_the_static_complete_graph() {
+        let assignment = TokenAssignment::round_robin_sources(9, 6, 3);
+        let lazy = Scenario::from_assignment(assignment.clone())
+            .seed(3)
+            .run_multi_source();
+        let eager = Scenario::from_assignment(assignment)
+            .topology(StaticAdversary::new(Graph::complete(9)))
+            .seed(3)
+            .run_multi_source();
+        assert_eq!(format!("{lazy:?}"), format!("{eager:?}"));
+    }
 
     #[test]
     fn builder_defaults_run_to_completion() {
@@ -1072,5 +1221,126 @@ mod tests {
         assert!(out.latency_percentile(0.5).is_some());
         assert!(out.total_session_messages() > 0);
         assert_eq!(out.decode_errors, 0);
+    }
+
+    #[test]
+    fn crash_recovery_plan_still_completes_and_counts() {
+        let n = 10;
+        let plan = FaultPlan::crash_recovery(n, 0.2, 200, 300, RecoveryMode::Amnesia, 5)
+            .with_random_partition(100, 400);
+        let out = Scenario::new(n, 6)
+            .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 9))
+            .link(DropLink::new(0.2).with_jitter(2))
+            .seed(43)
+            .faults(plan)
+            .max_time(500_000)
+            .run_multi_source();
+        assert!(out.completed, "{}", out.report);
+        assert_eq!(out.report.crashes, 2);
+        assert_eq!(out.report.recoveries, 2);
+        assert_eq!(out.report.partition_episodes, 1);
+        assert!((out.live_coverage - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn crashed_owner_tokens_are_rehomed_at_the_handoff() {
+        let n = 8;
+        // Exactly one center (probability 0 still forces one), everyone
+        // high-degree on the complete graph: every walker hands its token
+        // to the center on the first heartbeat (t=2, confirmed same tick
+        // under PerfectLink). Crashing the center at t=10 therefore
+        // leaves every token with a down sole claimant.
+        let seed = 29;
+        let is_center = elect_centers(n, 0.0, seed);
+        let center = NodeId::new(
+            is_center
+                .iter()
+                .position(|&c| c)
+                .expect("one center forced") as u32,
+        );
+        let plan1 = FaultPlan::none(n).plant(
+            center,
+            NodeFault {
+                crash_at: 10,
+                recover_at: None,
+                mode: RecoveryMode::Amnesia,
+            },
+        );
+        let cfg = AsyncObliviousConfig {
+            source_threshold: Some(1.0),
+            center_probability: Some(0.0),
+            degree_threshold: Some(1.0),
+            phase1_deadline: 2_000,
+            phase1_max_time: 4_000,
+        };
+        let out = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .seed(seed)
+            .faults(plan1)
+            .run_oblivious(CompleteTopology, PerfectLink, &cfg, None);
+        assert_eq!(
+            out.crash_reclaimed, n,
+            "every token was claimed by the crashed center"
+        );
+        // The walkers' own tokens re-home to their live original holders
+        // (knowledge is durable); the center's own token falls back to
+        // the center itself, which is back up in the fault-free phase 2.
+        assert!(out.completed, "{}", out.report);
+        assert_eq!(out.report.crashes, 1);
+        assert_eq!(out.report.recoveries, 0);
+    }
+
+    #[test]
+    fn faulty_oblivious_is_replay_identical() {
+        let n = 12;
+        let plan1 = FaultPlan::crash_recovery(n, 0.25, 100, 150, RecoveryMode::Amnesia, 3);
+        let plan2 = FaultPlan::crash_recovery(n, 0.25, 200, 300, RecoveryMode::DurableSnapshot, 4)
+            .with_random_partition(50, 250);
+        let cfg = AsyncObliviousConfig {
+            source_threshold: Some(1.0),
+            center_probability: Some(0.3),
+            phase1_deadline: 5_000,
+            phase1_max_time: 12_000,
+            ..AsyncObliviousConfig::default()
+        };
+        let run = || {
+            Scenario::from_assignment(TokenAssignment::n_gossip(n))
+                .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 61))
+                .link(DropLink::new(0.3).with_jitter(2))
+                .seed(31)
+                .faults(plan1.clone())
+                .run_oblivious(
+                    PeriodicRewiring::new(Topology::RandomTree, 3, 62),
+                    DropLink::new(0.3).with_jitter(2),
+                    &cfg,
+                    Some(&plan2),
+                )
+        };
+        let (a, b) = (run(), run());
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(a.completed, "{}", a.report);
+    }
+
+    /// The scenario's own cap reaches phase 2 of the oblivious pipeline.
+    #[test]
+    fn max_time_caps_the_oblivious_spread_phase() {
+        let cfg = AsyncObliviousConfig {
+            source_threshold: Some(1.0),
+            center_probability: Some(0.3),
+            ..AsyncObliviousConfig::default()
+        };
+        let out = Scenario::from_assignment(TokenAssignment::n_gossip(12))
+            .link(DropLink::new(0.2).with_jitter(2))
+            .seed(5)
+            .max_time(3)
+            .run_oblivious(
+                CompleteTopology,
+                DropLink::new(0.2).with_jitter(2),
+                &cfg,
+                None,
+            );
+        assert!(out.phase1.is_some(), "two-phase path must run phase 1");
+        assert!(!out.completed);
+        assert_eq!(out.phase2.stopped, StopReason::TimeLimit);
+        assert!(out.phase2.final_time <= 3, "{}", out.phase2);
     }
 }

@@ -14,7 +14,8 @@
 //!   --k    K       tokens                                 [64]
 //!   --s    S       sources (multi-source / rlnc / oblivious) [4]
 //!   --seed SEED    RNG seed                               [42]
-//!   --max-rounds R round cap                              [1000000]
+//!   --max-rounds R round cap; for async-* algorithms the virtual-time
+//!                  cap (async-oblivious: of phase 2)      [1000000]
 //!   --kt0          charge neighbor-discovery hellos (unicast algorithms)
 //!
 //! Scenario flags (async-* algorithms only, backed by the unified
@@ -393,10 +394,6 @@ fn run_scenario(cfg: &Config, assignment: TokenAssignment) -> Result<String, Str
         }
         "async-oblivious" => {
             let adversary2 = parse_adversary(&cfg.adv, cfg.n, cfg.seed + 1)?;
-            let ob_cfg = AsyncObliviousConfig {
-                seed: cfg.seed,
-                ..AsyncObliviousConfig::default()
-            };
             let faults2 = cfg
                 .faults
                 .as_deref()
@@ -405,7 +402,7 @@ fn run_scenario(cfg: &Config, assignment: TokenAssignment) -> Result<String, Str
             let out = scenario.run_oblivious(
                 adversary2,
                 dynspread::runtime::link::PerfectLink,
-                &ob_cfg,
+                &AsyncObliviousConfig::default(),
                 faults2.as_ref(),
             );
             text.push_str(&format!("{}\n", out.report));
@@ -546,7 +543,8 @@ fn main() {
                  ADV:  static:TOPO | rewire:TOPO:PERIOD | markov:P_ON:P_OFF:SIGMA | churn:TOPO:C:SIGMA\n\
                  TOPO: path | cycle | star | complete | tree | gnp:P | sparse:C | regular:D\n\
                  SPEC: stop:FRAC:AT | recover:FRAC:T0:T1[:amnesia|durable] | part:T0:T1 (comma-joined)\n\
-                 SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACING"
+                 SRC:  a trace file (`ARRIVAL SOURCE K [LEAVE]` lines) | uniform:SESSIONS:K:SPACING\n\
+                 R:    round cap; async-*: virtual-time cap (async-oblivious: of phase 2)"
             );
             std::process::exit(if e == "help" { 0 } else { 2 });
         }

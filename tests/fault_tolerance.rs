@@ -9,16 +9,14 @@
 //! and JSONL trace all match the unfaulted run byte for byte.
 
 use dynspread::graph::generators::Topology;
-use dynspread::graph::oblivious::{EdgeMarkovian, PeriodicRewiring, StaticAdversary};
-use dynspread::graph::{Graph, NodeId};
+use dynspread::graph::oblivious::{EdgeMarkovian, PeriodicRewiring};
+use dynspread::graph::NodeId;
 use dynspread::runtime::engine::EventSim;
-use dynspread::runtime::faults::{
-    run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source, FaultPlan,
-    PartitionLink, RecoveryMode,
-};
+use dynspread::runtime::faults::{FaultPlan, PartitionLink, RecoveryMode};
 use dynspread::runtime::link::{DropLink, LinkModelExt};
 use dynspread::runtime::protocol::{AsyncConfig, AsyncObliviousConfig, AsyncSingleSource};
 use dynspread::runtime::trace::JsonlTracer;
+use dynspread::runtime::Scenario;
 use dynspread::sim::TokenAssignment;
 use dynspread_bench::derive_seed;
 use std::sync::Arc;
@@ -35,19 +33,14 @@ fn acceptance_plan(n: usize, mode: RecoveryMode, seed: u64) -> FaultPlan {
 #[test]
 fn single_source_self_heals_under_the_acceptance_faults() {
     let n = 16usize;
-    let assignment = TokenAssignment::single_source(n, 10, NodeId::new(0));
     let plan = acceptance_plan(n, RecoveryMode::Amnesia, 11);
     let run = || {
-        run_faulty_single_source(
-            &assignment,
-            PeriodicRewiring::new(Topology::RandomTree, 3, 12),
-            DropLink::new(0.3).with_jitter(2),
-            2,
-            13,
-            AsyncConfig::default(),
-            &plan,
-            2_000_000,
-        )
+        Scenario::new(n, 10)
+            .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 12))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .seed(13)
+            .faults(plan.clone())
+            .run_single_source()
     };
     let out = run();
     assert!(out.completed, "{}", out.report);
@@ -66,20 +59,15 @@ fn single_source_self_heals_under_the_acceptance_faults() {
 #[test]
 fn multi_source_self_heals_under_the_acceptance_faults() {
     let n = 16usize;
-    let assignment = TokenAssignment::round_robin_sources(n, 12, 4);
     // Durable snapshots: recovered nodes keep their ledgers and window.
     let plan = acceptance_plan(n, RecoveryMode::DurableSnapshot, 21);
     let run = || {
-        run_faulty_multi_source(
-            &assignment,
-            EdgeMarkovian::new(0.08, 0.2, 2, 22),
-            DropLink::new(0.3).with_jitter(2),
-            2,
-            23,
-            AsyncConfig::default(),
-            &plan,
-            2_000_000,
-        )
+        Scenario::from_assignment(TokenAssignment::round_robin_sources(n, 12, 4))
+            .topology(EdgeMarkovian::new(0.08, 0.2, 2, 22))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .seed(23)
+            .faults(plan.clone())
+            .run_multi_source()
     };
     let out = run();
     assert!(out.completed, "{}", out.report);
@@ -95,9 +83,7 @@ fn multi_source_self_heals_under_the_acceptance_faults() {
 #[test]
 fn oblivious_self_heals_with_both_phases_faulted() {
     let n = 12usize;
-    let assignment = TokenAssignment::n_gossip(n);
     let cfg = AsyncObliviousConfig {
-        seed: 31,
         source_threshold: Some(1.0),
         center_probability: Some(0.25),
         phase1_deadline: 20_000,
@@ -107,16 +93,16 @@ fn oblivious_self_heals_with_both_phases_faulted() {
     let plan1 = acceptance_plan(n, RecoveryMode::Amnesia, 32);
     let plan2 = acceptance_plan(n, RecoveryMode::DurableSnapshot, 33);
     let run = || {
-        run_faulty_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 34),
-            DropLink::new(0.3).with_jitter(2),
-            DropLink::new(0.3).with_jitter(2),
-            &cfg,
-            &plan1,
-            &plan2,
-        )
+        Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .link(DropLink::new(0.3).with_jitter(2))
+            .seed(31)
+            .faults(plan1.clone())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 34),
+                DropLink::new(0.3).with_jitter(2),
+                &cfg,
+                Some(&plan2),
+            )
     };
     let out = run();
     assert!(out.completed, "{}", out.report);

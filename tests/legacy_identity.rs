@@ -1,293 +1,141 @@
-//! Byte-identity of the deprecated `run_*` driver zoo against the
-//! unified [`Scenario`](dynspread::runtime::Scenario) core.
+//! Golden digests pinning `Scenario` runs to the historical driver
+//! outputs.
 //!
-//! PR 10 reimplemented every `run_faulty_*` / `run_byzantine_*` /
-//! `run_async_oblivious*` driver as a thin wrapper over the `Scenario`
-//! builder. These tests pin that migration down: each *twin* below is a
-//! verbatim transplant of the pre-migration driver body (raw engines,
-//! raw links, hand-rolled hand-offs) and its outcome must match the
-//! wrapper's `Debug` representation byte for byte — reports, evidence,
-//! coverage floats, hand-off counters, everything. Any drift in the
-//! always-wrap strategy (empty `FaultPlan` / honest `MisbehaviorPlan`
-//! as pass-throughs) breaks these first.
+//! Before the `Scenario` builder, every axis had its own driver
+//! function (faulty, Byzantine, and the honest oblivious pipeline).
+//! Each constant below is the 64-bit FNV-1a of the `Debug` text of a
+//! `Scenario` outcome — reports, evidence, coverage floats, hand-off
+//! counters and final knowledge — recorded while the old drivers still
+//! existed and were asserted byte-identical to it. The constants are
+//! never re-recorded: a mismatch means the execution changed.
+//!
+//! The oblivious replay-identity and structural-soundness checks that
+//! accompanied those drivers are kept as plain `Scenario` tests.
 
 use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::PeriodicRewiring;
-use dynspread::graph::NodeId;
-use dynspread::runtime::byzantine::{
-    check_evidence, run_byzantine_multi_source, run_byzantine_oblivious,
-    run_byzantine_single_source, AuditSetup, Evidence, MisbehaviorKind, MisbehaviorPlan,
-};
-use dynspread::runtime::engine::{EventSim, StopReason};
-use dynspread::runtime::faults::{
-    run_faulty_multi_source, run_faulty_single_source, FaultPlan, PartitionLink, RecoveryMode,
-};
+use dynspread::runtime::byzantine::transcript::fnv1a;
+use dynspread::runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
+use dynspread::runtime::faults::{FaultPlan, RecoveryMode};
 use dynspread::runtime::link::{DropLink, LinkModelExt};
-use dynspread::runtime::protocol::{
-    run_async_oblivious_traced, AsyncConfig, AsyncMultiSource, AsyncObliviousConfig,
-    AsyncSingleSource,
-};
+use dynspread::runtime::protocol::AsyncObliviousConfig;
 use dynspread::runtime::trace::JsonlTracer;
-use dynspread::sim::token::{TokenAssignment, TokenSet};
-use dynspread::sim::RunReport;
-use std::collections::BTreeSet;
-use std::sync::Arc;
-
-/// The old drivers' private coverage helper, transplanted.
-fn coverage<'a>(
-    k: usize,
-    knowledge: impl Iterator<Item = &'a TokenSet>,
-    mut include: impl FnMut(NodeId) -> bool,
-) -> f64 {
-    let mut sum = 0.0;
-    let mut picked = 0usize;
-    for (i, know) in knowledge.enumerate() {
-        if include(NodeId::new(i as u32)) {
-            sum += know.count() as f64 / k.max(1) as f64;
-            picked += 1;
-        }
-    }
-    if picked == 0 {
-        1.0
-    } else {
-        sum / picked as f64
-    }
-}
-
-/// The old byzantine drivers' private report stamping, transplanted.
-fn stamp(report: &mut RunReport, plan: &MisbehaviorPlan, evidence: &[Evidence]) {
-    report.byzantine_nodes = plan.byzantine_nodes();
-    report.violations_detected = evidence.len() as u64;
-    report.evidence_verdicts = evidence
-        .iter()
-        .map(|e| e.culprit)
-        .collect::<BTreeSet<_>>()
-        .len() as u64;
-}
+use dynspread::runtime::{Scenario, ScenarioObliviousOutcome};
+use dynspread::sim::token::TokenAssignment;
 
 fn adversary(epoch: u64, seed: u64) -> PeriodicRewiring {
     PeriodicRewiring::new(Topology::RandomTree, epoch, seed)
 }
 
+/// FNV-1a of a value's `Debug` text.
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    fnv1a(format!("{value:?}").as_bytes())
+}
+
+#[test]
+fn bare_default_scenario_matches_its_golden_digest() {
+    let out = Scenario::new(8, 4).run_single_source();
+    assert_eq!(out.report.adversary.as_ref(), "static");
+    assert_eq!(digest(&out), 0x1888_e3fa_4223_9dde);
+}
+
 #[test]
 fn faulty_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
-    let n = 14usize;
-    let assignment = TokenAssignment::single_source(n, 8, NodeId::new(0));
-    let plan = FaultPlan::crash_recovery(n, 0.2, 30, 120, RecoveryMode::Amnesia, 5)
-        .with_random_partition(40, 300);
-    let cfg = AsyncConfig::default();
-
-    let new = run_faulty_single_source(
-        &assignment,
-        adversary(3, 7),
-        DropLink::new(0.3).with_jitter(2),
-        2,
-        11,
-        cfg,
-        &plan,
-        2_000_000,
-    );
-
-    // Old body, verbatim: raw tracking engine + PartitionLink + plan.
-    let nodes = AsyncSingleSource::nodes(&assignment, cfg);
-    let mut sim = EventSim::with_tracking(
-        nodes,
-        adversary(3, 7),
-        PartitionLink::new(DropLink::new(0.3).with_jitter(2), Arc::new(plan.clone())),
-        2,
-        11,
-        &assignment,
-    );
-    sim.set_fault_plan(plan.clone());
-    let event = sim.run(2_000_000);
-    let report = sim.run_report("faulty-async-single-source");
-    let tracker = sim.tracker().expect("tracking enabled");
-    let live_coverage = coverage(
-        assignment.token_count(),
-        NodeId::all(n).map(|v| tracker.knowledge(v)),
-        |v| !sim.is_down(v),
-    );
-    let completed = event.stopped == StopReason::Complete;
-
-    assert_eq!(format!("{:?}", new.event), format!("{event:?}"));
-    assert_eq!(format!("{:?}", new.report), format!("{report:?}"));
-    assert_eq!(new.live_coverage.to_bits(), live_coverage.to_bits());
-    assert_eq!(new.completed, completed);
+    let n = 14;
+    let out = Scenario::new(n, 8)
+        .topology(adversary(3, 7))
+        .link(DropLink::new(0.3).with_jitter(2))
+        .seed(11)
+        .faults(
+            FaultPlan::crash_recovery(n, 0.2, 30, 120, RecoveryMode::Amnesia, 5)
+                .with_random_partition(40, 300),
+        )
+        .name("faulty-async-single-source")
+        .run_single_source();
+    assert_eq!(digest(&out), 0x3019_c12a_5ba8_a9f6);
 }
 
 #[test]
 fn faulty_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
-    let n = 12usize;
-    let assignment = TokenAssignment::round_robin_sources(n, 9, 3);
-    let plan = FaultPlan::crash_stop(n, 0.2, 40, 17);
-    let cfg = AsyncConfig::default();
-
-    let new = run_faulty_multi_source(
-        &assignment,
-        adversary(3, 9),
-        DropLink::new(0.2),
-        2,
-        21,
-        cfg,
-        &plan,
-        500_000,
-    );
-
-    let (nodes, _map) = AsyncMultiSource::nodes(&assignment, cfg);
-    let mut sim = EventSim::with_tracking(
-        nodes,
-        adversary(3, 9),
-        PartitionLink::new(DropLink::new(0.2), Arc::new(plan.clone())),
-        2,
-        21,
-        &assignment,
-    );
-    sim.set_fault_plan(plan.clone());
-    let event = sim.run(500_000);
-    let report = sim.run_report("faulty-async-multi-source");
-    let tracker = sim.tracker().expect("tracking enabled");
-    let live_coverage = coverage(
-        assignment.token_count(),
-        NodeId::all(n).map(|v| tracker.knowledge(v)),
-        |v| !sim.is_down(v),
-    );
-
-    assert_eq!(format!("{:?}", new.event), format!("{event:?}"));
-    assert_eq!(format!("{:?}", new.report), format!("{report:?}"));
-    assert_eq!(new.live_coverage.to_bits(), live_coverage.to_bits());
-    assert_eq!(new.completed, event.stopped == StopReason::Complete);
+    let n = 12;
+    let out = Scenario::from_assignment(TokenAssignment::round_robin_sources(n, 9, 3))
+        .topology(adversary(3, 9))
+        .link(DropLink::new(0.2))
+        .seed(21)
+        .faults(FaultPlan::crash_stop(n, 0.2, 40, 17))
+        .max_time(500_000)
+        .name("faulty-async-multi-source")
+        .run_multi_source();
+    assert_eq!(digest(&out), 0x4667_cf91_3572_b702);
 }
 
 #[test]
 fn byzantine_single_source_wrapper_matches_the_old_driver_byte_for_byte() {
-    let n = 12usize;
-    let assignment = TokenAssignment::single_source(n, 6, NodeId::new(0));
-    let plan = MisbehaviorPlan::uniform(n, 0.25, MisbehaviorKind::FalseClaims, 3);
-    let cfg = AsyncConfig::default();
-
-    let new = run_byzantine_single_source(
-        &assignment,
-        adversary(3, 5),
-        DropLink::new(0.2).with_jitter(1),
-        2,
-        13,
-        cfg,
-        &plan,
-        1_000_000,
-    );
-
-    // Old body, verbatim: wrapped nodes, RAW link (no PartitionLink),
-    // transcripts on, audit, manual stamp.
-    let nodes = plan.wrap(AsyncSingleSource::nodes(&assignment, cfg));
-    let mut sim = EventSim::with_tracking(
-        nodes,
-        adversary(3, 5),
-        DropLink::new(0.2).with_jitter(1),
-        2,
-        13,
-        &assignment,
-    );
-    sim.record_transcripts();
-    let event = sim.run(1_000_000);
-    let setup = AuditSetup::single_source(&assignment);
-    let evidence = check_evidence(&setup, sim.transcripts());
-    let mut report = sim.run_report("byz-async-single-source");
-    stamp(&mut report, &plan, &evidence);
-    let tracker = sim.tracker().expect("tracking enabled");
-    let honest_coverage = coverage(
-        assignment.token_count(),
-        NodeId::all(n).map(|v| tracker.knowledge(v)),
-        |v| !plan.is_malicious(v),
-    );
-    let injected: u64 = NodeId::all(n).map(|v| sim.node(v).injected()).sum();
-
-    assert_eq!(format!("{:?}", new.event), format!("{event:?}"));
-    assert_eq!(format!("{:?}", new.report), format!("{report:?}"));
-    assert_eq!(format!("{:?}", new.evidence), format!("{evidence:?}"));
-    assert_eq!(new.honest_coverage.to_bits(), honest_coverage.to_bits());
-    assert_eq!(new.injected, injected);
-    assert_eq!(new.completed, event.stopped == StopReason::Complete);
+    let n = 12;
+    let out = Scenario::new(n, 6)
+        .topology(adversary(3, 5))
+        .link(DropLink::new(0.2).with_jitter(1))
+        .seed(13)
+        .byzantine(MisbehaviorPlan::uniform(
+            n,
+            0.25,
+            MisbehaviorKind::FalseClaims,
+            3,
+        ))
+        .max_time(1_000_000)
+        .name("byz-async-single-source")
+        .run_single_source();
+    assert_eq!(digest(&out), 0x6a84_0c43_8e4c_8551);
 }
 
 #[test]
 fn byzantine_multi_source_wrapper_matches_the_old_driver_byte_for_byte() {
-    let n = 12usize;
-    let assignment = TokenAssignment::round_robin_sources(n, 8, 2);
-    let plan = MisbehaviorPlan::uniform(n, 0.25, MisbehaviorKind::DropAcks, 8);
-    let cfg = AsyncConfig::default();
-
-    let new = run_byzantine_multi_source(
-        &assignment,
-        adversary(3, 6),
-        DropLink::new(0.2),
-        2,
-        19,
-        cfg,
-        &plan,
-        1_000_000,
-    );
-
-    let (nodes, map) = AsyncMultiSource::nodes(&assignment, cfg);
-    let nodes = plan.wrap(nodes);
-    let mut sim = EventSim::with_tracking(
-        nodes,
-        adversary(3, 6),
-        DropLink::new(0.2),
-        2,
-        19,
-        &assignment,
-    );
-    sim.record_transcripts();
-    let event = sim.run(1_000_000);
-    let setup = AuditSetup::multi_source(&assignment, &map);
-    let evidence = check_evidence(&setup, sim.transcripts());
-    let mut report = sim.run_report("byz-async-multi-source");
-    stamp(&mut report, &plan, &evidence);
-    let tracker = sim.tracker().expect("tracking enabled");
-    let honest_coverage = coverage(
-        assignment.token_count(),
-        NodeId::all(n).map(|v| tracker.knowledge(v)),
-        |v| !plan.is_malicious(v),
-    );
-    let injected: u64 = NodeId::all(n).map(|v| sim.node(v).injected()).sum();
-
-    assert_eq!(format!("{:?}", new.event), format!("{event:?}"));
-    assert_eq!(format!("{:?}", new.report), format!("{report:?}"));
-    assert_eq!(format!("{:?}", new.evidence), format!("{evidence:?}"));
-    assert_eq!(new.honest_coverage.to_bits(), honest_coverage.to_bits());
-    assert_eq!(new.injected, injected);
-    assert_eq!(new.completed, event.stopped == StopReason::Complete);
+    let n = 12;
+    let out = Scenario::from_assignment(TokenAssignment::round_robin_sources(n, 8, 2))
+        .topology(adversary(3, 6))
+        .link(DropLink::new(0.2))
+        .seed(19)
+        .byzantine(MisbehaviorPlan::uniform(
+            n,
+            0.25,
+            MisbehaviorKind::DropAcks,
+            8,
+        ))
+        .max_time(1_000_000)
+        .name("byz-async-multi-source")
+        .run_multi_source();
+    assert_eq!(digest(&out), 0x95d3_a32e_1117_2398);
 }
 
-/// The two-phase Byzantine oblivious pipeline is the hardest wrapper
-/// (combined hand-off subsuming three legacy variants); rather than
-/// transplant its 150-line body, pin it replay-style against itself and
-/// against the structural invariants the old driver guaranteed.
+/// The two-phase Byzantine pipeline: pinned, replay-identical, and
+/// structurally sound; its few-sources fast path is pinned too and
+/// reduces to a multi-source run under the phase-2 seed salt.
 #[test]
 fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
-    let n = 14usize;
-    let assignment = TokenAssignment::n_gossip(n);
+    let n = 14;
     let plan = MisbehaviorPlan::uniform(n, 0.2, MisbehaviorKind::ForgeTransfers, 4);
     let cfg = AsyncObliviousConfig {
-        seed: 9,
         source_threshold: Some(1.0), // force the two-phase path
         center_probability: Some(0.3),
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_byzantine_oblivious(
-            &assignment,
-            adversary(3, 2),
-            adversary(3, 4),
-            DropLink::new(0.2).with_jitter(1),
-            DropLink::new(0.2).with_jitter(1),
-            &cfg,
-            &plan,
-        )
+        Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .topology(adversary(3, 2))
+            .link(DropLink::new(0.2).with_jitter(1))
+            .seed(9)
+            .byzantine(plan.clone())
+            .name("byz-async-oblivious")
+            .run_oblivious(
+                adversary(3, 4),
+                DropLink::new(0.2).with_jitter(1),
+                &cfg,
+                None,
+            )
     };
     let a = run();
-    let b = run();
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    assert_eq!(digest(&a), 0x6530_261e_340d_ec6c);
+    assert_eq!(format!("{a:?}"), format!("{:?}", run()));
     assert!(a.phase1.is_some(), "two-phase path must run phase 1");
     assert_eq!(a.report.algorithm.as_ref(), "byz-async-oblivious");
     assert_eq!(a.byzantine_nodes, plan.byzantine_nodes());
@@ -295,33 +143,27 @@ fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
     // Soundness: only malicious nodes are ever indicted.
     assert!(a.evidence.iter().all(|e| plan.is_malicious(e.culprit)));
 
-    // Fast path (source threshold not overridden ⇒ one source is below
-    // it): must reduce to the multi-source driver under the phase-2 salt.
-    let single = TokenAssignment::single_source(n, 6, NodeId::new(0));
-    let fast_cfg = AsyncObliviousConfig {
-        seed: 9,
-        ..AsyncObliviousConfig::default()
-    };
-    let fast = run_byzantine_oblivious(
-        &single,
-        adversary(3, 2),
-        adversary(3, 4),
-        DropLink::new(0.2),
-        DropLink::new(0.2),
-        &fast_cfg,
-        &plan,
-    );
-    let direct = run_byzantine_multi_source(
-        &single,
-        adversary(3, 4),
-        DropLink::new(0.2),
-        fast_cfg.ticks_per_round,
-        fast_cfg.seed ^ 0x5EED_0B71_0002u64,
-        fast_cfg.retransmit,
-        &plan,
-        fast_cfg.phase2_max_time,
-    );
+    // Fast path (the paper's source threshold exceeds one source).
+    let single = || Scenario::new(n, 6).byzantine(plan.clone());
+    let fast = single()
+        .topology(adversary(3, 2))
+        .link(DropLink::new(0.2))
+        .seed(9)
+        .name("byz-async-oblivious")
+        .run_oblivious(
+            adversary(3, 4),
+            DropLink::new(0.2),
+            &AsyncObliviousConfig::default(),
+            None,
+        );
+    assert_eq!(digest(&fast), 0x5056_c647_94a3_af4e);
+    let direct = single()
+        .topology(adversary(3, 4))
+        .link(DropLink::new(0.2))
+        .seed(9 ^ 0x5EED_0B71_0002)
+        .run_multi_source();
     assert!(fast.phase1.is_none());
+    assert_eq!(fast.report.algorithm.as_ref(), "byz-async-multi-source");
     assert_eq!(format!("{:?}", fast.phase2), format!("{:?}", direct.event));
     assert_eq!(
         format!("{:?}", fast.evidence),
@@ -333,170 +175,40 @@ fn byzantine_oblivious_wrapper_is_replay_identical_and_structurally_sound() {
     );
 }
 
-/// The honest oblivious pipeline now routes through `Scenario` too.
-/// This twin is the pre-migration `run_async_oblivious_traced` two-phase
-/// body, verbatim: raw engines, the center-preferring claimant
-/// resolution, and the stitched `Phase` trace records.
-#[test]
-fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
-    use dynspread::core::multi_source::SourceMap;
-    use dynspread::core::oblivious::{center_count, degree_threshold};
-    use dynspread::runtime::engine::EventProtocol;
-    use dynspread::runtime::protocol::AsyncOblivious;
-    use dynspread::sim::token::TokenId;
-    use dynspread::sim::trace::TraceRecord;
-
-    let n = 12usize;
-    let k = n;
-    let assignment = TokenAssignment::n_gossip(n);
+/// The honest two-phase pipeline with its stitched JSONL trace.
+fn honest_oblivious() -> (ScenarioObliviousOutcome, String) {
     let cfg = AsyncObliviousConfig {
-        seed: 7,
         source_threshold: Some(1.0), // n sources ⇒ two-phase path
         center_probability: Some(0.25),
         ..AsyncObliviousConfig::default()
     };
-    let adversary1 = || PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1);
-    let adversary2 = || adversary(3, 2);
-    let link = || DropLink::new(0.3).with_jitter(2);
-
-    let new_tracer = JsonlTracer::new();
-    let new = run_async_oblivious_traced(
-        &assignment,
-        adversary1(),
-        adversary2(),
-        link(),
-        link(),
-        &cfg,
-        Some(new_tracer.clone()),
-    );
-
-    // ---- Old phase 1. ----
     let tracer = JsonlTracer::new();
-    let f = center_count(n, k);
-    let p_center = cfg.center_probability.unwrap_or((f / n as f64).min(1.0));
-    let gamma = cfg
-        .degree_threshold
-        .unwrap_or_else(|| degree_threshold(n, f));
-    let nodes = AsyncOblivious::nodes(
-        &assignment,
-        p_center,
-        gamma,
-        cfg.seed,
-        cfg.retransmit,
-        cfg.phase1_deadline,
-    );
-    let centers: Vec<NodeId> = nodes
-        .iter()
-        .filter(|p| p.is_center())
-        .map(|p| p.id())
-        .collect();
-    let mut sim1 = EventSim::new(
-        nodes,
-        adversary1(),
-        link(),
-        cfg.ticks_per_round,
-        cfg.seed ^ 0x5EED_0B71_0001u64,
-    );
-    tracer.append(&TraceRecord::Phase { p: 1 });
-    sim1.set_tracer(tracer.clone());
-    let phase1 = sim1.run(cfg.phase1_max_time);
-
-    // ---- Old hand-off: prefer a center among double claimants. ----
-    let mut owner_of: Vec<Option<NodeId>> = vec![None; k];
-    for v in NodeId::all(n) {
-        let node = sim1.node(v);
-        for t in node.responsible_tokens() {
-            let slot = &mut owner_of[t.index()];
-            match *slot {
-                None => *slot = Some(v),
-                Some(prev) => {
-                    if node.is_center() && !sim1.node(prev).is_center() {
-                        *slot = Some(v);
-                    }
-                }
-            }
-        }
-    }
-    let mut ownership = TokenAssignment::empty(n, k);
-    let mut knowledge = TokenAssignment::empty(n, k);
-    let mut stranded = 0usize;
-    for (ti, owner) in owner_of.iter().enumerate() {
-        let v = owner.expect("responsibility is never destroyed");
-        ownership.add_holder(TokenId::new(ti as u32), v);
-        if !sim1.node(v).is_center() {
-            stranded += 1;
-        }
-    }
-    for v in NodeId::all(n) {
-        let know = sim1.node(v).known_tokens().expect("walk knowledge");
-        for t in know.iter() {
-            knowledge.add_holder(t, v);
-        }
-    }
-    let map = Arc::new(SourceMap::from_assignment(&ownership));
-    let sources = map.sources().to_vec();
-
-    // ---- Old phase 2. ----
-    let nodes2: Vec<AsyncMultiSource> = NodeId::all(n)
-        .map(|v| AsyncMultiSource::new(v, &knowledge, Arc::clone(&map), cfg.retransmit))
-        .collect();
-    let mut sim2 = EventSim::with_tracking(
-        nodes2,
-        adversary2(),
-        link(),
-        cfg.ticks_per_round,
-        cfg.seed ^ 0x5EED_0B71_0002u64,
-        &knowledge,
-    );
-    tracer.append(&TraceRecord::Phase { p: 2 });
-    sim2.set_tracer(tracer.clone());
-    let phase2 = sim2.run(cfg.phase2_max_time);
-    let tracker = sim2.tracker().expect("tracking enabled");
-    let final_knowledge: Vec<TokenSet> = NodeId::all(n)
-        .map(|v| tracker.knowledge(v).clone())
-        .collect();
-
-    assert_eq!(format!("{:?}", new.phase1), format!("{:?}", Some(phase1)));
-    assert_eq!(format!("{:?}", new.phase2), format!("{phase2:?}"));
-    assert_eq!(new.centers, centers);
-    assert_eq!(new.sources, sources);
-    assert_eq!(new.stranded_tokens, stranded);
-    assert_eq!(
-        format!("{:?}", new.final_knowledge),
-        format!("{final_knowledge:?}")
-    );
-    assert_eq!(new.completed, phase2.stopped == StopReason::Complete);
-    assert_eq!(new_tracer.take_jsonl(), tracer.take_jsonl());
-}
-
-/// The honest oblivious pipeline's stitched two-phase JSONL trace and
-/// outcome must also be reproducible run-to-run.
-#[test]
-fn honest_oblivious_trace_is_replay_identical_through_the_wrapper() {
-    let n = 12usize;
-    let assignment = TokenAssignment::n_gossip(n);
-    let cfg = AsyncObliviousConfig {
-        seed: 7,
-        source_threshold: Some(1.0),
-        center_probability: Some(0.25),
-        ..AsyncObliviousConfig::default()
-    };
-    let run = || {
-        let tracer = JsonlTracer::new();
-        let out = run_async_oblivious_traced(
-            &assignment,
-            PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1),
+    let out = Scenario::from_assignment(TokenAssignment::n_gossip(12))
+        .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 1))
+        .link(DropLink::new(0.3).with_jitter(2))
+        .seed(7)
+        .trace(tracer.clone())
+        .run_oblivious(
             adversary(3, 2),
             DropLink::new(0.3).with_jitter(2),
-            DropLink::new(0.3).with_jitter(2),
             &cfg,
-            Some(tracer.clone()),
+            None,
         );
-        (format!("{out:?}"), tracer.take_jsonl())
-    };
-    let (out_a, trace_a) = run();
-    let (out_b, trace_b) = run();
-    assert_eq!(out_a, out_b);
+    (out, tracer.take_jsonl())
+}
+
+#[test]
+fn honest_oblivious_wrapper_matches_the_old_driver_byte_for_byte() {
+    let (out, trace) = honest_oblivious();
+    assert_eq!(digest(&out), 0xfe00_ed0a_c80c_cbf6);
+    assert_eq!(fnv1a(trace.as_bytes()), 0x49b1_37f3_4e98_fb30);
+}
+
+#[test]
+fn honest_oblivious_trace_is_replay_identical_through_the_wrapper() {
+    let (out_a, trace_a) = honest_oblivious();
+    let (out_b, trace_b) = honest_oblivious();
+    assert_eq!(format!("{out_a:?}"), format!("{out_b:?}"));
     assert_eq!(trace_a, trace_b);
     assert!(trace_a.contains("\"phase\""), "phase boundary records");
 }

@@ -1,14 +1,15 @@
 //! Integration tests of the full Oblivious-Multi-Source pipeline
 //! (Algorithm 2): phase hand-off invariants, accounting conservation,
 //! and end-to-end correctness — for both the round-based pipeline and
-//! the asynchronous `run_async_oblivious` port.
+//! the asynchronous port (`Scenario::run_oblivious`).
 
 use dynspread::core::oblivious::{run_oblivious_multi_source, ObliviousConfig};
 use dynspread::graph::generators::Topology;
 use dynspread::graph::oblivious::{EdgeMarkovian, PeriodicRewiring, StaticAdversary};
 use dynspread::graph::Graph;
 use dynspread::runtime::link::{DropLink, LinkModelExt, PerfectLink};
-use dynspread::runtime::protocol::{run_async_oblivious, AsyncObliviousConfig};
+use dynspread::runtime::protocol::AsyncObliviousConfig;
+use dynspread::runtime::Scenario;
 use dynspread::sim::message::MessageClass;
 use dynspread::sim::token::TokenSet;
 use dynspread::sim::TokenAssignment;
@@ -123,9 +124,8 @@ fn stranded_tokens_become_fallback_sources() {
     );
 }
 
-fn async_two_phase_config(seed: u64) -> AsyncObliviousConfig {
+fn async_two_phase_config() -> AsyncObliviousConfig {
     AsyncObliviousConfig {
-        seed,
         source_threshold: Some(1.0), // force phase 1 at small scale
         center_probability: Some(0.25),
         phase1_deadline: 20_000,
@@ -137,15 +137,16 @@ fn async_two_phase_config(seed: u64) -> AsyncObliviousConfig {
 #[test]
 fn async_pipeline_completes_on_n_gossip_over_lossy_links() {
     let n = 18;
-    let assignment = TokenAssignment::n_gossip(n);
-    let out = run_async_oblivious(
-        &assignment,
-        PeriodicRewiring::new(Topology::Gnp(0.25), 3, 1),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 2),
-        DropLink::new(0.3).with_jitter(2),
-        DropLink::new(0.3).with_jitter(2),
-        &async_two_phase_config(3),
-    );
+    let out = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+        .topology(PeriodicRewiring::new(Topology::Gnp(0.25), 3, 1))
+        .link(DropLink::new(0.3).with_jitter(2))
+        .seed(3)
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 2),
+            DropLink::new(0.3).with_jitter(2),
+            &async_two_phase_config(),
+            None,
+        );
     assert!(out.completed, "{:?}", out.phase2);
     assert!(out.phase1.is_some());
     assert!(!out.centers.is_empty());
@@ -159,15 +160,16 @@ fn async_hand_off_conserves_ownership() {
     // claimant from phase 1, and the stranded count is the non-center
     // owners — the hand-off invariants behind the SourceMap construction.
     let n = 16;
-    let assignment = TokenAssignment::n_gossip(n);
-    let out = run_async_oblivious(
-        &assignment,
-        EdgeMarkovian::new(0.1, 0.2, 2, 7),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 8),
-        DropLink::new(0.2),
-        PerfectLink,
-        &async_two_phase_config(9),
-    );
+    let out = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+        .topology(EdgeMarkovian::new(0.1, 0.2, 2, 7))
+        .link(DropLink::new(0.2))
+        .seed(9)
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 8),
+            PerfectLink,
+            &async_two_phase_config(),
+            None,
+        );
     assert!(out.completed);
     assert!(!out.sources.is_empty());
     assert!(out.sources.len() <= n, "at most one source per node");
@@ -187,21 +189,20 @@ fn async_deadline_fallback_still_completes() {
     // the frozen owners must become fallback sources and phase 2 must
     // still reach full dissemination — the async analogue of the sync
     // `stranded_tokens_become_fallback_sources` test.
-    let n = 14;
-    let assignment = TokenAssignment::n_gossip(n);
     let cfg = AsyncObliviousConfig {
         phase1_deadline: 2,
         phase1_max_time: 1_000,
-        ..async_two_phase_config(11)
+        ..async_two_phase_config()
     };
-    let out = run_async_oblivious(
-        &assignment,
-        PeriodicRewiring::new(Topology::Gnp(0.3), 3, 12),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 13),
-        PerfectLink,
-        PerfectLink,
-        &cfg,
-    );
+    let out = Scenario::from_assignment(TokenAssignment::n_gossip(14))
+        .topology(PeriodicRewiring::new(Topology::Gnp(0.3), 3, 12))
+        .seed(11)
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 13),
+            PerfectLink,
+            &cfg,
+            None,
+        );
     assert!(out.completed, "{:?}", out.phase2);
     assert!(
         out.stranded_tokens > 0,
@@ -214,18 +215,19 @@ fn async_deadline_fallback_still_completes() {
 fn async_direct_path_taken_for_few_sources() {
     let n = 16;
     let assignment = TokenAssignment::round_robin_sources(n, 8, 2);
-    let out = run_async_oblivious(
-        &assignment,
-        StaticAdversary::new(Graph::path(n)),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 10),
-        PerfectLink,
-        PerfectLink,
-        &AsyncObliviousConfig::default(), // paper threshold ≫ 2 sources
-    );
+    let out = Scenario::from_assignment(assignment.clone())
+        .topology(StaticAdversary::new(Graph::path(n)))
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 10),
+            PerfectLink,
+            &AsyncObliviousConfig::default(), // paper threshold ≫ 2 sources
+            None,
+        );
     assert!(out.phase1.is_none());
     assert!(out.completed);
     assert_eq!(out.centers, assignment.sources());
     assert_eq!(out.sources, assignment.sources());
+    assert_eq!(out.stranded_tokens, 0);
 }
 
 #[test]
@@ -255,22 +257,20 @@ fn forged_transfer_acks_cannot_destroy_honest_ownership() {
     // from its original holder (never panic), end with all k tokens
     // owned by someone, and the auditor must pin each destroyed token
     // on the thief.
-    use dynspread::runtime::byzantine::{
-        run_byzantine_oblivious, MisbehaviorKind, MisbehaviorPlan, Violation,
-    };
+    use dynspread::runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan, Violation};
     let n = 14;
-    let assignment = TokenAssignment::n_gossip(n);
     let plan = MisbehaviorPlan::with_kinds(n, 0.25, &[MisbehaviorKind::ForgeTransfers], 21);
     assert!(plan.byzantine_nodes() >= 2);
-    let out = run_byzantine_oblivious(
-        &assignment,
-        StaticAdversary::new(Graph::complete(n)),
-        PeriodicRewiring::new(Topology::RandomTree, 3, 22),
-        DropLink::new(0.1).with_jitter(1),
-        DropLink::new(0.1).with_jitter(1),
-        &async_two_phase_config(21),
-        &plan,
-    );
+    let out = Scenario::from_assignment(TokenAssignment::n_gossip(n))
+        .link(DropLink::new(0.1).with_jitter(1))
+        .seed(21)
+        .byzantine(plan.clone())
+        .run_oblivious(
+            PeriodicRewiring::new(Topology::RandomTree, 3, 22),
+            DropLink::new(0.1).with_jitter(1),
+            &async_two_phase_config(),
+            None,
+        );
     // The honest runner would panic on a destroyed claimant; the
     // Byzantine driver recovers instead, and the thefts are convicted.
     assert!(out.injected > 0, "planted thieves never stole anything");

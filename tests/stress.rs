@@ -77,14 +77,10 @@ fn fault_stress_self_healing_at_scale() {
     // be conserved through the oblivious hand-off (the driver panics if
     // a token loses its last claimant), and the most complex pipeline
     // must replay byte-identically from its seeds.
-    use dynspread::graph::oblivious::StaticAdversary;
-    use dynspread::graph::Graph;
-    use dynspread::runtime::faults::{
-        run_faulty_multi_source, run_faulty_oblivious, run_faulty_single_source, FaultPlan,
-        RecoveryMode,
-    };
+    use dynspread::runtime::faults::{FaultPlan, RecoveryMode};
     use dynspread::runtime::link::{DropLink, LinkModelExt};
-    use dynspread::runtime::protocol::{AsyncConfig, AsyncObliviousConfig};
+    use dynspread::runtime::protocol::AsyncObliviousConfig;
+    use dynspread::runtime::Scenario;
 
     let n = 40usize;
     let link = || DropLink::new(0.3).duplicating(0.3).with_jitter(2);
@@ -94,39 +90,29 @@ fn fault_stress_self_healing_at_scale() {
     };
     assert_eq!(plan().crashed_nodes().count(), 6, "15% of 40 nodes");
 
-    let ss_assignment = TokenAssignment::single_source(n, 40, NodeId::new(0));
-    let ss = run_faulty_single_source(
-        &ss_assignment,
-        PeriodicRewiring::new(Topology::RandomTree, 3, 82),
-        link(),
-        2,
-        83,
-        AsyncConfig::default(),
-        &plan(),
-        10_000_000,
-    );
+    let ss = Scenario::new(n, 40)
+        .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 82))
+        .link(link())
+        .seed(83)
+        .faults(plan())
+        .max_time(10_000_000)
+        .run_single_source();
     assert!(ss.completed, "single-source: {}", ss.report);
     assert_eq!(ss.report.crashes, 6);
     assert_eq!(ss.report.recoveries, 6);
     assert_eq!(ss.report.partition_episodes, 1);
 
-    let ms_assignment = TokenAssignment::round_robin_sources(n, 40, 8);
-    let ms = run_faulty_multi_source(
-        &ms_assignment,
-        PeriodicRewiring::new(Topology::RandomTree, 3, 84),
-        link(),
-        2,
-        85,
-        AsyncConfig::default(),
-        &plan(),
-        10_000_000,
-    );
+    let ms = Scenario::from_assignment(TokenAssignment::round_robin_sources(n, 40, 8))
+        .topology(PeriodicRewiring::new(Topology::RandomTree, 3, 84))
+        .link(link())
+        .seed(85)
+        .faults(plan())
+        .max_time(10_000_000)
+        .run_multi_source();
     assert!(ms.completed, "multi-source: {}", ms.report);
     assert_eq!(ms.report.crashes, 6);
 
-    let obl_assignment = TokenAssignment::n_gossip(n);
     let cfg = AsyncObliviousConfig {
-        seed: 86,
         source_threshold: Some(1.0),
         center_probability: Some(0.2),
         phase1_deadline: 30_000,
@@ -134,16 +120,16 @@ fn fault_stress_self_healing_at_scale() {
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_faulty_oblivious(
-            &obl_assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 87),
-            link(),
-            link(),
-            &cfg,
-            &plan(),
-            &plan(),
-        )
+        Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .link(link())
+            .seed(86)
+            .faults(plan())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 87),
+                link(),
+                &cfg,
+                Some(&plan()),
+            )
     };
     let obl = run();
     assert!(obl.completed, "oblivious: {}", obl.report);
@@ -164,20 +150,15 @@ fn byzantine_stress_soundness_at_scale() {
     // planted nodes indicted), every token must end phase 1 with an
     // owner (theft recovered, not destroyed), and the whole run —
     // verdicts included — must be byte-identical under seeded replay.
-    use dynspread::graph::oblivious::StaticAdversary;
-    use dynspread::graph::Graph;
-    use dynspread::runtime::byzantine::{
-        run_byzantine_oblivious, MisbehaviorKind, MisbehaviorPlan,
-    };
+    use dynspread::runtime::byzantine::{MisbehaviorKind, MisbehaviorPlan};
     use dynspread::runtime::link::{DropLink, LinkModelExt};
     use dynspread::runtime::protocol::AsyncObliviousConfig;
+    use dynspread::runtime::Scenario;
 
     let n = 40usize;
-    let assignment = TokenAssignment::n_gossip(n);
     let plan = MisbehaviorPlan::with_kinds(n, 0.15, &MisbehaviorKind::ALL, 77);
     assert!(plan.byzantine_nodes() == 6);
     let cfg = AsyncObliviousConfig {
-        seed: 77,
         source_threshold: Some(1.0),
         center_probability: Some(0.2),
         phase1_deadline: 30_000,
@@ -185,15 +166,16 @@ fn byzantine_stress_soundness_at_scale() {
         ..AsyncObliviousConfig::default()
     };
     let run = || {
-        run_byzantine_oblivious(
-            &assignment,
-            StaticAdversary::new(Graph::complete(n)),
-            PeriodicRewiring::new(Topology::RandomTree, 3, 78),
-            DropLink::new(0.3).duplicating(0.3).with_jitter(2),
-            DropLink::new(0.3).duplicating(0.3).with_jitter(2),
-            &cfg,
-            &plan,
-        )
+        Scenario::from_assignment(TokenAssignment::n_gossip(n))
+            .link(DropLink::new(0.3).duplicating(0.3).with_jitter(2))
+            .seed(77)
+            .byzantine(plan.clone())
+            .run_oblivious(
+                PeriodicRewiring::new(Topology::RandomTree, 3, 78),
+                DropLink::new(0.3).duplicating(0.3).with_jitter(2),
+                &cfg,
+                None,
+            )
     };
     let out = run();
     assert!(out.injected > 0, "six malicious nodes never misbehaved");
